@@ -2,7 +2,7 @@
 //!
 //! Every rule implements [`Rule`] over a [`FileCtx`] — one lexed file
 //! plus its resolved module identity ([`crate::modtree`]) — and pushes
-//! [`Violation`](crate::lint::Violation)s. Rules match *token
+//! [`Violation`]s. Rules match *token
 //! sequences*, never raw text, so string literals and comments can
 //! never trip them; and they consult token-exact `#[cfg(test)]` spans,
 //! so test modules are exempt wherever they sit in the file (the old

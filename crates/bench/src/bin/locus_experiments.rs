@@ -993,9 +993,12 @@ fn write_or_die(path: &str, contents: &str) {
     }
 }
 
+/// Runs one experiment under the parsed flags.
+type Runner = fn(&RunCfg);
+
 /// Experiment id → runner, in presentation order (shared by `all` and
 /// `list`).
-const KNOWN: &[(&str, fn(&RunCfg))] = &[
+const KNOWN: &[(&str, Runner)] = &[
     ("table1", run_table1),
     ("table2", run_table2),
     ("blocking", run_blocking),

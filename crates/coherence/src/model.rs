@@ -37,22 +37,23 @@
 //!
 //! Each backend logs every transaction against its contended service
 //! point (bus = one resource; directory/DLS = one resource per home
-//! tile, with mesh-distance flight time added to the arrival) and the
-//! log is resolved twice — [`ServicePolicy::Fifo`] and
-//! [`ServicePolicy::CriticalFirst`] — so a report can state how much
-//! critical-request wait the priority arbiter removes on identical
-//! traffic (arXiv:1606.05933). Criticality comes from the trace: the
-//! emulator tags rip-up/commit stores [`Criticality::Critical`].
+//! tile, with mesh-distance flight time added to the arrival), and one
+//! [`Arbiter::resolve`] call prices the log under both
+//! [`ServicePolicy::Fifo`] and [`ServicePolicy::CriticalFirst`] — so a
+//! report can state how much critical-request wait the priority arbiter
+//! removes on identical traffic (arXiv:1606.05933). Criticality comes
+//! from the trace: the emulator tags rip-up/commit stores
+//! [`Criticality::Critical`].
+//!
+//! [`Criticality::Critical`]: crate::trace::Criticality::Critical
+//! [`ServicePolicy::Fifo`]: locus_mesh::ServicePolicy::Fifo
+//! [`ServicePolicy::CriticalFirst`]: locus_mesh::ServicePolicy::CriticalFirst
 
-use std::collections::BTreeMap;
-
-use locus_mesh::{
-    Arbiter, MeshConfig, ResolvedContention, ServicePolicy, ServiceRequest, Topology,
-};
+use locus_mesh::{Arbiter, MeshConfig, ResolvedContention, ServiceRequest, Topology};
 use locus_obs::{Event as ObsEvent, EventKind as ObsKind, NullSink, Sink};
 
 use crate::protocol::{
-    CoherenceConfig, CoherenceSim, DirectoryParams, DlsParams, Protocol, TrafficStats,
+    CoherenceConfig, CoherenceSim, DirectoryParams, DlsParams, LineTable, Protocol, TrafficStats,
 };
 use crate::trace::{MemRef, RefKind, Trace};
 
@@ -248,15 +249,14 @@ impl<'a> RunAcc<'a> {
         stats: TrafficStats,
         invalidation_traffic_bytes: u64,
     ) -> MemoryOutcome {
-        let fifo = self.arb.resolve(ServicePolicy::Fifo);
-        let critical_first = self.arb.resolve(ServicePolicy::CriticalFirst);
+        let resolved = self.arb.resolve();
         MemoryOutcome {
             backend,
             stats,
             invalidation_traffic_bytes,
             per_proc: self.per_proc,
-            fifo,
-            critical_first,
+            fifo: resolved.fifo,
+            critical_first: resolved.critical_first,
         }
     }
 }
@@ -314,15 +314,6 @@ impl MemoryModel for BusModel {
     }
 }
 
-/// Per-line directory entry (same shape as the bus simulator's snoop
-/// state: infinite caches, so presence bits never get evicted).
-#[derive(Clone, Copy, Default)]
-struct DirLine {
-    holders: u64,
-    dirty: Option<u32>,
-    invalidated: u64,
-}
-
 /// The `directory` backend: MSI with WBI line semantics, home-node line
 /// state, and unicast invalidations priced through the mesh.
 pub struct DirectoryModel {
@@ -347,7 +338,7 @@ impl MemoryModel for DirectoryModel {
         let line_size = self.cfg.coherence.line_size;
         let word = self.cfg.coherence.word_bytes as u64;
         let pricer = Pricer::new(&self.cfg);
-        let mut lines: BTreeMap<u32, DirLine> = BTreeMap::new();
+        let mut lines = LineTable::new();
         let mut stats = TrafficStats::default();
         let mut unicast_bytes = 0u64;
         let mut acc = RunAcc::new(self.cfg.n_procs, sink);
@@ -357,7 +348,7 @@ impl MemoryModel for DirectoryModel {
             acc.count(r);
             let line_addr = r.addr / line_size;
             let home = line_addr % self.params.home_tiles;
-            let st = lines.entry(line_addr).or_default();
+            let st = lines.entry(line_addr);
             let pbit = 1u64 << r.proc;
             let line_bytes = line_size as u64;
             // Bytes this access moves (data) and transports (invals).

@@ -1,8 +1,7 @@
 //! The Write-Back-with-Invalidate protocol state machine and bus-byte
 //! accounting.
 
-use std::collections::BTreeMap;
-
+use locus_mesh::PagedTable;
 use locus_obs::{Event as ObsEvent, EventKind as ObsKind, NullSink, Sink};
 
 use crate::trace::{RefKind, Trace};
@@ -177,22 +176,29 @@ impl TrafficStats {
     }
 }
 
-/// Per-line directory entry.
+/// Per-line coherence state, kept by the snooped bus ([`CoherenceSim`])
+/// and by the directory backend alike. Caches are infinite, so presence
+/// bits are never evicted.
 #[derive(Clone, Copy, Default)]
-struct LineState {
+pub(crate) struct LineState {
     /// Bitmask of processors holding a valid copy.
-    holders: u64,
+    pub(crate) holders: u64,
     /// Processor holding the line dirty (exclusive), if any.
-    dirty: Option<u32>,
+    pub(crate) dirty: Option<u32>,
     /// Processors whose copy was invalidated and not yet refetched.
-    invalidated: u64,
+    pub(crate) invalidated: u64,
 }
+
+/// Line state indexed by line address (`addr / line_size`). Addresses
+/// are dense cost-array offsets, so lookups are array indexing; a stray
+/// address near `u32::MAX` costs one page and the page directory.
+pub(crate) type LineTable = PagedTable<LineState>;
 
 /// The coherence simulator: infinite per-processor caches over a shared
 /// bus, Write-Back-with-Invalidate.
 pub struct CoherenceSim {
     config: CoherenceConfig,
-    lines: BTreeMap<u32, LineState>,
+    lines: LineTable,
     stats: TrafficStats,
     sink: Box<dyn Sink>,
     obs_on: bool,
@@ -215,7 +221,7 @@ impl CoherenceSim {
         );
         CoherenceSim {
             config,
-            lines: BTreeMap::new(),
+            lines: LineTable::new(),
             stats: TrafficStats::default(),
             sink: Box::new(NullSink),
             obs_on: false,
@@ -235,7 +241,7 @@ impl CoherenceSim {
     pub fn access(&mut self, proc: u32, addr: u32, kind: RefKind) {
         assert!(proc < 64, "bitmask directory supports up to 64 processors");
         let line_addr = addr / self.config.line_size;
-        let st = self.lines.entry(line_addr).or_default();
+        let st = self.lines.entry(line_addr);
         let pbit = 1u64 << proc;
         let line_bytes = self.config.line_size as u64;
 

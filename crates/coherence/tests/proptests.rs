@@ -8,15 +8,24 @@ use locus_coherence::{
 use proptest::prelude::*;
 
 fn arb_trace(max_procs: u32, max_addr: u32) -> impl Strategy<Value = Trace> {
-    proptest::collection::vec((0..max_procs, 0..max_addr, any::<bool>()), 0..400).prop_map(|refs| {
+    let one_ref = (0..max_procs, 0..max_addr, any::<bool>(), 0u32..32, any::<u32>());
+    proptest::collection::vec(one_ref, 0..400).prop_map(|refs| {
         refs.into_iter()
             .enumerate()
-            .map(|(i, (proc, addr, is_write))| {
-                // Word-align addresses like real cost-array accesses.
+            .map(|(i, (proc, addr, is_write, draw, wide))| {
+                // Word-align addresses like real cost-array accesses. One
+                // reference in 32 comes from anywhere in the `u32` range
+                // and one in 32 from just below `u32::MAX`, as a corrupt
+                // trace would have them.
+                let addr = match draw {
+                    0 => wide & !1,
+                    1 => u32::MAX - 1 - (wide % 4096) * 2,
+                    _ => addr * 2,
+                };
                 MemRef::new(
                     i as u64,
                     proc,
-                    addr * 2,
+                    addr,
                     if is_write { RefKind::Write } else { RefKind::Read },
                 )
             })

@@ -9,7 +9,7 @@
 //! request at a time. Backends log every request they price —
 //! `(resource, proc, arrival, service time, criticality)` — into an
 //! [`Arbiter`] while replaying a trace, then [`Arbiter::resolve`] replays
-//! the request log under a [`ServicePolicy`]:
+//! the request log under both [`ServicePolicy`]s:
 //!
 //! * [`ServicePolicy::Fifo`] — requests are granted in arrival order (the
 //!   classic bus arbiter);
@@ -19,9 +19,37 @@
 //!   (speculative candidate-sweep loads), in the spirit of
 //!   criticality-aware memory scheduling (arXiv:1606.05933).
 //!
-//! Resolving is deterministic: the same log and policy always produce the
-//! same grant schedule, and both policies can be resolved from one log so
-//! a study can report the FIFO-vs-priority delta on identical traffic.
+//! Resolving is deterministic: the same log always produces the same
+//! grant schedules, and both policies are resolved from one log so a study
+//! can report the FIFO-vs-priority delta on identical traffic.
+//!
+//! ## Cost
+//!
+//! For `n` logged requests:
+//!
+//! * [`Arbiter::push`] files each request into its resource's bucket as a
+//!   24-byte record (the resource is the bucket, so it is not stored);
+//!   the resource → bucket lookup is a [`PagedTable`], O(1) for any `u32`
+//!   id. There is no global log and no second copy of it.
+//! * Each bucket is brought into stable arrival order once. `push` keeps
+//!   it ordered by inserting a late arrival after the last request that
+//!   arrived no later, scanning back at most 32 records — a time-ordered
+//!   trace's requests land at most a few places out of order. A request
+//!   further out marks the bucket for one stable sort at resolve time
+//!   instead, so the worst case (e.g. a reverse-ordered log) is
+//!   O(n log n), never quadratic.
+//! * [`Arbiter::resolve`] serves both policies from the same ordered
+//!   bucket:
+//!   * FIFO is a queue-free walk, `grant = max(free_at, arrival)`;
+//!   * critical-first keeps its two FIFO queues (critical, background)
+//!     as two cursors into the sorted bucket: within a class, requests
+//!     are granted in arrival order, so each class's queue is the run of
+//!     admitted requests from its cursor on. Both cursors only advance.
+//!
+//!   Resolving both policies is therefore O(n log n) in the worst case and
+//!   O(n) on sorted input, with no allocation beyond the outputs.
+
+use crate::paged::PagedTable;
 
 /// How queued requests are granted the service point.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -86,7 +114,7 @@ impl WaitStats {
     }
 }
 
-/// The grant schedule statistics of one [`Arbiter::resolve`] run.
+/// The grant schedule statistics of one policy over one request log.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct ResolvedContention {
     /// Waits of requests flagged critical.
@@ -113,13 +141,109 @@ impl ResolvedContention {
             max_wait_ns: self.critical.max_wait_ns.max(self.background.max_wait_ns),
         }
     }
+
+    /// An empty schedule with wait accounting for `n_procs` processors.
+    fn for_procs(n_procs: usize) -> Self {
+        ResolvedContention { per_proc_wait_ns: vec![0; n_procs], ..ResolvedContention::default() }
+    }
+
+    /// Grants `q` at `now` (≥ its arrival) and returns when the service
+    /// point frees up again.
+    #[inline]
+    fn grant(&mut self, q: &Queued, now: u64) -> u64 {
+        let wait = now - q.arrive_ns;
+        if q.critical {
+            self.critical.record(wait);
+        } else {
+            self.background.record(wait);
+        }
+        let proc_wait = &mut self.per_proc_wait_ns[q.proc as usize];
+        *proc_wait = proc_wait.saturating_add(wait);
+        self.busy_ns = self.busy_ns.saturating_add(q.service_ns);
+        let free_at = now + q.service_ns;
+        self.makespan_ns = self.makespan_ns.max(free_at);
+        free_at
+    }
 }
 
-/// A request log plus the machinery to replay it under a policy; see
-/// [module docs](self).
+/// Both policies' grant schedules over one request log.
+#[derive(Clone, Debug, Default, PartialEq)]
+pub struct Resolution {
+    /// Grants in arrival order.
+    pub fifo: ResolvedContention,
+    /// Queued critical requests granted first.
+    pub critical_first: ResolvedContention,
+}
+
+/// A logged request within its resource's bucket (24 bytes).
+#[derive(Clone, Copy, Debug)]
+struct Queued {
+    arrive_ns: u64,
+    service_ns: u64,
+    proc: u32,
+    critical: bool,
+}
+
+/// How far back [`Arbiter::push`] scans to keep a bucket in arrival
+/// order. Requests from a time-ordered trace land at most a few places
+/// out of order (mesh flight times differ by a few hops); a request
+/// further out leaves its bucket to one stable sort at resolve time.
+const MAX_BACKSCAN: usize = 32;
+
+/// One resource's requests.
+#[derive(Clone, Debug)]
+struct Bucket {
+    log: Vec<Queued>,
+    /// Whether `log` is in stable arrival order (ties in log order).
+    sorted: bool,
+}
+
+impl Bucket {
+    /// Appends `q`, or inserts it after the last request that arrived no
+    /// later, if that one is within [`MAX_BACKSCAN`] of the end.
+    #[inline]
+    fn insert(&mut self, q: Queued) {
+        let log = &mut self.log;
+        match log.last() {
+            Some(last) if self.sorted && last.arrive_ns > q.arrive_ns => {
+                let floor = log.len().saturating_sub(MAX_BACKSCAN);
+                let mut pos = log.len() - 1;
+                while pos > floor && log[pos - 1].arrive_ns > q.arrive_ns {
+                    pos -= 1;
+                }
+                if pos == 0 || log[pos - 1].arrive_ns <= q.arrive_ns {
+                    log.insert(pos, q);
+                } else {
+                    self.sorted = false;
+                    log.push(q);
+                }
+            }
+            _ => log.push(q),
+        }
+    }
+
+    /// The log in stable arrival order. Requests appended after the
+    /// bucket fell out of order follow, in log order, everything logged
+    /// before them, so one stable sort restores the exact order.
+    fn arrival_order(&mut self) -> &[Queued] {
+        if !self.sorted {
+            self.log.sort_by_key(|q| q.arrive_ns);
+            self.sorted = true;
+        }
+        &self.log
+    }
+}
+
+/// A request log, bucketed by resource, plus the machinery to replay it;
+/// see [module docs](self).
 #[derive(Clone, Debug, Default)]
 pub struct Arbiter {
-    requests: Vec<ServiceRequest>,
+    /// Bucket index + 1 of each resource id (0: not seen yet).
+    slot: PagedTable<u32>,
+    /// Each resource's requests, resources in first-seen order.
+    buckets: Vec<Bucket>,
+    /// One more than the largest processor id logged.
+    n_procs: usize,
 }
 
 impl Arbiter {
@@ -131,78 +255,85 @@ impl Arbiter {
     /// Logs one request.
     #[inline]
     pub fn push(&mut self, req: ServiceRequest) {
-        self.requests.push(req);
+        let slot = self.slot.entry(req.resource);
+        if *slot == 0 {
+            self.buckets.push(Bucket { log: Vec::new(), sorted: true });
+            *slot = self.buckets.len() as u32;
+        }
+        self.buckets[*slot as usize - 1].insert(Queued {
+            arrive_ns: req.arrive_ns,
+            service_ns: req.service_ns,
+            proc: req.proc,
+            critical: req.critical,
+        });
+        self.n_procs = self.n_procs.max(req.proc as usize + 1);
     }
 
     /// Requests logged so far.
     pub fn len(&self) -> usize {
-        self.requests.len()
+        self.buckets.iter().map(|b| b.log.len()).sum()
     }
 
     /// Whether the log is empty.
     pub fn is_empty(&self) -> bool {
-        self.requests.is_empty()
+        self.buckets.is_empty()
     }
 
-    /// Replays the log under `policy` and returns the wait accounting.
+    /// Replays the log under both policies and returns their wait
+    /// accounting.
     ///
-    /// Each resource serves one request at a time. Whenever the resource
-    /// frees up (or sits idle until the next arrival), the policy picks
-    /// the next queued request; ties keep log order, so resolution is
-    /// deterministic regardless of equal timestamps.
-    pub fn resolve(&self, policy: ServicePolicy) -> ResolvedContention {
-        let n_procs = self.requests.iter().map(|r| r.proc as usize + 1).max().unwrap_or(0);
-        let mut out = ResolvedContention {
-            per_proc_wait_ns: vec![0; n_procs],
-            ..ResolvedContention::default()
-        };
-
-        // Group request indices by resource, preserving log order (the
-        // backends replay time-ordered traces, so log order is arrival
-        // order; a stable sort keeps that true even with equal stamps).
-        let mut by_resource: Vec<(u32, Vec<usize>)> = Vec::new();
-        for (i, r) in self.requests.iter().enumerate() {
-            match by_resource.iter_mut().find(|(res, _)| *res == r.resource) {
-                Some((_, v)) => v.push(i),
-                None => by_resource.push((r.resource, vec![i])),
-            }
-        }
-
-        for (_, idxs) in &mut by_resource {
-            idxs.sort_by_key(|&i| self.requests[i].arrive_ns);
-            let mut queue: Vec<usize> = Vec::new();
-            let mut next = 0usize; // next un-admitted arrival
-            let mut now = 0u64; // resource free at `now`
-            while next < idxs.len() || !queue.is_empty() {
-                if queue.is_empty() {
-                    now = now.max(self.requests[idxs[next]].arrive_ns);
-                }
-                while next < idxs.len() && self.requests[idxs[next]].arrive_ns <= now {
-                    queue.push(idxs[next]);
-                    next += 1;
-                }
-                let pick_pos = match policy {
-                    ServicePolicy::Fifo => 0,
-                    ServicePolicy::CriticalFirst => {
-                        queue.iter().position(|&i| self.requests[i].critical).unwrap_or(0)
-                    }
-                };
-                let i = queue.remove(pick_pos);
-                let r = &self.requests[i];
-                let wait = now - r.arrive_ns;
-                if r.critical {
-                    out.critical.record(wait);
-                } else {
-                    out.background.record(wait);
-                }
-                out.per_proc_wait_ns[r.proc as usize] =
-                    out.per_proc_wait_ns[r.proc as usize].saturating_add(wait);
-                out.busy_ns = out.busy_ns.saturating_add(r.service_ns);
-                now += r.service_ns;
-                out.makespan_ns = out.makespan_ns.max(now);
-            }
+    /// Each resource serves one request at a time, non-preemptively.
+    /// Whenever the resource frees up (or sits idle until the next
+    /// arrival), the policy picks the next queued request; ties keep log
+    /// order, so resolution is deterministic regardless of equal
+    /// timestamps.
+    pub fn resolve(mut self) -> Resolution {
+        let empty = ResolvedContention::for_procs(self.n_procs);
+        let mut out = Resolution { fifo: empty.clone(), critical_first: empty };
+        for bucket in &mut self.buckets {
+            let log = bucket.arrival_order();
+            serve_fifo(log, &mut out.fifo);
+            serve_critical_first(log, &mut out.critical_first);
         }
         out
+    }
+}
+
+/// FIFO over one arrival-ordered bucket: each request is granted as soon
+/// as both it and the service point are there.
+fn serve_fifo(bucket: &[Queued], out: &mut ResolvedContention) {
+    let mut free_at = 0u64;
+    for q in bucket {
+        free_at = out.grant(q, free_at.max(q.arrive_ns));
+    }
+}
+
+/// Critical-first over one arrival-ordered bucket. Requests before
+/// `admitted` have arrived by `now`; each class's queue is its ungranted
+/// admitted requests, which start at that class's cursor because a class
+/// is granted in arrival order.
+fn serve_critical_first(bucket: &[Queued], out: &mut ResolvedContention) {
+    let n = bucket.len();
+    let next_of = |from: usize, critical: bool| {
+        (from..n).find(|&i| bucket[i].critical == critical).unwrap_or(n)
+    };
+    let (mut crit, mut back) = (next_of(0, true), next_of(0, false));
+    let (mut admitted, mut now) = (0usize, 0u64);
+    while crit < n || back < n {
+        if crit >= admitted && back >= admitted {
+            // Both queues empty: idle until the next arrival.
+            now = now.max(bucket[admitted].arrive_ns);
+        }
+        while admitted < n && bucket[admitted].arrive_ns <= now {
+            admitted += 1;
+        }
+        if crit < admitted {
+            now = out.grant(&bucket[crit], now);
+            crit = next_of(crit + 1, true);
+        } else {
+            now = out.grant(&bucket[back], now);
+            back = next_of(back + 1, false);
+        }
     }
 }
 
@@ -214,14 +345,19 @@ mod tests {
         ServiceRequest { resource, proc, arrive_ns: arrive, service_ns: service, critical }
     }
 
+    fn log(reqs: &[ServiceRequest]) -> Arbiter {
+        let mut a = Arbiter::new();
+        for &r in reqs {
+            a.push(r);
+        }
+        a
+    }
+
     #[test]
     fn uncontended_requests_never_wait() {
-        let mut a = Arbiter::new();
-        a.push(req(0, 0, 0, 100, false));
-        a.push(req(0, 1, 1_000, 100, true));
-        for policy in [ServicePolicy::Fifo, ServicePolicy::CriticalFirst] {
-            let r = a.resolve(policy);
-            assert_eq!(r.all().total_wait_ns, 0, "{policy:?}");
+        let r = log(&[req(0, 0, 0, 100, false), req(0, 1, 1_000, 100, true)]).resolve();
+        for r in [r.fifo, r.critical_first] {
+            assert_eq!(r.all().total_wait_ns, 0);
             assert_eq!(r.busy_ns, 200);
             assert_eq!(r.makespan_ns, 1_100);
         }
@@ -229,11 +365,10 @@ mod tests {
 
     #[test]
     fn fifo_waits_accumulate_in_arrival_order() {
-        let mut a = Arbiter::new();
-        a.push(req(0, 0, 0, 100, false));
-        a.push(req(0, 1, 10, 100, false));
-        a.push(req(0, 2, 20, 100, false));
-        let r = a.resolve(ServicePolicy::Fifo);
+        let r =
+            log(&[req(0, 0, 0, 100, false), req(0, 1, 10, 100, false), req(0, 2, 20, 100, false)])
+                .resolve()
+                .fifo;
         // Grants at 0, 100, 200 → waits 0, 90, 180.
         assert_eq!(r.background.total_wait_ns, 270);
         assert_eq!(r.background.max_wait_ns, 180);
@@ -241,13 +376,20 @@ mod tests {
     }
 
     #[test]
+    fn fifo_orders_by_arrival_not_log_order() {
+        // Logged out of order: the later arrival must not be served first.
+        let r = log(&[req(0, 0, 50, 100, false), req(0, 1, 0, 100, false)]).resolve().fifo;
+        assert_eq!(r.per_proc_wait_ns, vec![50, 0]);
+    }
+
+    #[test]
     fn critical_first_overtakes_queued_background() {
-        let mut a = Arbiter::new();
-        a.push(req(0, 0, 0, 100, false)); // in service at t=0
-        a.push(req(0, 1, 10, 100, false)); // queued
-        a.push(req(0, 2, 20, 100, true)); // critical, queued behind it
-        let fifo = a.resolve(ServicePolicy::Fifo);
-        let prio = a.resolve(ServicePolicy::CriticalFirst);
+        let Resolution { fifo, critical_first: prio } = log(&[
+            req(0, 0, 0, 100, false),  // in service at t=0
+            req(0, 1, 10, 100, false), // queued
+            req(0, 2, 20, 100, true),  // critical, queued behind it
+        ])
+        .resolve();
         // FIFO: critical granted at 200 (wait 180). Priority: at 100 (wait 80).
         assert_eq!(fifo.critical.total_wait_ns, 180);
         assert_eq!(prio.critical.total_wait_ns, 80);
@@ -264,37 +406,47 @@ mod tests {
 
     #[test]
     fn in_service_requests_are_not_preempted() {
-        let mut a = Arbiter::new();
-        a.push(req(0, 0, 0, 1_000, false)); // long background in service
-        a.push(req(0, 1, 1, 10, true)); // critical arrives just after
-        let prio = a.resolve(ServicePolicy::CriticalFirst);
+        let prio = log(&[
+            req(0, 0, 0, 1_000, false), // long background in service
+            req(0, 1, 1, 10, true),     // critical arrives just after
+        ])
+        .resolve()
+        .critical_first;
         // Non-preemptive: the critical request still waits out the grant.
         assert_eq!(prio.critical.total_wait_ns, 999);
     }
 
     #[test]
     fn resources_are_independent() {
-        let mut a = Arbiter::new();
-        a.push(req(0, 0, 0, 100, false));
-        a.push(req(1, 1, 0, 100, false));
-        let r = a.resolve(ServicePolicy::Fifo);
+        let r = log(&[req(0, 0, 0, 100, false), req(1, 1, 0, 100, false)]).resolve().fifo;
         assert_eq!(r.all().total_wait_ns, 0, "different resources never queue on each other");
         assert_eq!(r.busy_ns, 200);
         assert_eq!(r.makespan_ns, 100);
     }
 
     #[test]
-    fn resolve_is_deterministic_and_reusable() {
+    fn resolve_is_deterministic() {
         let mut a = Arbiter::new();
         for i in 0..50u64 {
             a.push(req((i % 3) as u32, (i % 4) as u32, i * 7 % 40, 25, i % 5 == 0));
         }
-        let x = a.resolve(ServicePolicy::CriticalFirst);
-        let y = a.resolve(ServicePolicy::CriticalFirst);
-        assert_eq!(x, y);
-        // The log is still intact for the other policy.
-        let f = a.resolve(ServicePolicy::Fifo);
-        assert_eq!(f.all().requests, 50);
+        assert_eq!(a.len(), 50);
+        let x = a.clone().resolve();
+        assert_eq!(x, a.resolve());
+        assert_eq!(x.fifo.all().requests, 50);
+        assert_eq!(x.critical_first.all().requests, 50);
+    }
+
+    #[test]
+    fn empty_log_resolves_to_empty_schedules() {
+        let a = Arbiter::new();
+        assert!(a.is_empty());
+        assert_eq!(a.resolve(), Resolution::default());
+    }
+
+    #[test]
+    fn queued_request_records_stay_compact() {
+        assert!(std::mem::size_of::<Queued>() <= 24);
     }
 
     #[test]

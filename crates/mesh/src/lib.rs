@@ -22,15 +22,19 @@ pub mod config;
 pub mod fault;
 pub mod kernel;
 pub mod node;
+pub mod paged;
 pub mod stats;
 pub mod time;
 pub mod topology;
 
-pub use arbiter::{Arbiter, ResolvedContention, ServicePolicy, ServiceRequest, WaitStats};
+pub use arbiter::{
+    Arbiter, Resolution, ResolvedContention, ServicePolicy, ServiceRequest, WaitStats,
+};
 pub use config::MeshConfig;
 pub use fault::{Fault, FaultInjector, FaultPlan, FaultScope, NodeFault};
 pub use kernel::{Kernel, SimOutcome};
 pub use node::{Envelope, Node, Outbox, Step};
+pub use paged::PagedTable;
 pub use stats::NetStats;
 pub use time::SimTime;
 pub use topology::{NodeId, Topology};

@@ -11,7 +11,7 @@
 //! distributed-loop schedule, so this engine backs the wall-clock
 //! speedup demonstration only; all table values come from the
 //! deterministic emulator in [`crate::emul`]. (Under a static assignment
-//! with shard ownership — see [`crate::shard`] — runs *are* bitwise
+//! with shard ownership — see the `shard` module — runs *are* bitwise
 //! repeatable at any thread count.) Each thread routes through its own
 //! [`IterationDriver`] ledger (route slots live outside the drivers,
 //! shared under per-wire mutexes); ledgers are merged after the join.
