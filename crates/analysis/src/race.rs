@@ -1,6 +1,6 @@
 //! FastTrack-style race detection over shared-reference traces.
 //!
-//! The detector replays a time-sorted [`Trace`] and flags every pair of
+//! The detector replays a time-ordered [`Trace`] and flags every pair of
 //! conflicting cost-array accesses (same address, different processors,
 //! at least one write) that is not ordered by happens-before. The only
 //! synchronization edges are the inter-iteration barriers, which the
@@ -20,10 +20,23 @@
 //! (the FastTrack compression): a racing address is reported once per
 //! `(address, epoch, processor pair, access kinds)`, not once per
 //! dynamic occurrence.
+//!
+//! The shadow is dense. Addresses are interned in order of first
+//! appearance through a [`PagedTable`], so a stray address near
+//! `u32::MAX` costs one page, not a 4 G-entry array. Each processor's last
+//! read and last write of interned address `id` sit in flat vectors at
+//! `id * n_procs + proc` as `{clock, trace index}`; the reference itself
+//! is fetched from the trace by index. Most race attempts repeat a pair
+//! already reported, so an epoch-stamped bitmask per (address,
+//! processor) of partners already reported turns them away before they
+//! build a [`RacePair`]; only new keys reach the canonical `BTreeSet`
+//! dedup. Beyond 32 processors the bitmask does not fit and the set
+//! alone decides.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 
 use locus_coherence::{MemRef, RefKind, Trace};
+use locus_mesh::PagedTable;
 
 use crate::vclock::VectorClock;
 
@@ -38,7 +51,7 @@ pub enum RaceKind {
 }
 
 /// One detected (deduplicated) race pair.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct RacePair {
     /// Byte address of the contested cost-array cell.
     pub addr: u32,
@@ -103,7 +116,7 @@ impl RacePair {
 pub type RaceKey = (u32, u32, u32, u32, RaceKind);
 
 /// What the detector found in one trace.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct DetectionResult {
     /// References analysed.
     pub refs: usize,
@@ -119,26 +132,32 @@ pub struct DetectionResult {
     pub races: Vec<RacePair>,
 }
 
-/// Last access by one processor to one address.
-#[derive(Clone, Copy)]
-struct Access {
-    /// The accessor's own logical time (its vector-clock component) at
-    /// the access.
+/// Last access by one processor to one address: the accessor's own
+/// logical time then (its vector-clock component) and the access's trace
+/// index. Clocks start at 1, so `clock == 0` marks "no access yet".
+#[derive(Clone, Copy, Default)]
+struct Last {
     clock: u64,
-    r: MemRef,
     idx: usize,
 }
 
-/// Per-address FastTrack shadow cell: last write and last read per proc.
-struct Shadow {
-    writes: Vec<Option<Access>>,
-    reads: Vec<Option<Access>>,
+/// Dedup filter for one (address, processor): the partners this
+/// processor has already been reported racing with in `epoch`, one bit
+/// per partner and kind. A slot stamped with an earlier epoch is empty.
+#[derive(Clone, Copy, Default)]
+struct Reported {
+    epoch: u32,
+    ww: u32,
+    rw: u32,
 }
 
-/// Runs race detection over `trace`, which must be time-sorted (the
-/// producers' merged order; see [`Trace::sort_by_time`]).
+/// The most processors the [`Reported`] bitmasks cover.
+const FILTER_PROCS: usize = u32::BITS as usize;
+
+/// Runs race detection over `trace`, which must be time-ordered (as
+/// every producer hands it out).
 pub fn detect(trace: &Trace) -> DetectionResult {
-    debug_assert!(trace.is_sorted(), "detect() expects a time-sorted trace");
+    debug_assert!(trace.is_sorted(), "detect() expects a time-ordered trace");
     let refs = trace.refs();
     let n_procs = refs.iter().map(|r| r.proc as usize + 1).max().unwrap_or(0);
     let epochs = refs.iter().map(|r| r.epoch + 1).max().unwrap_or(0);
@@ -150,98 +169,174 @@ pub fn detect(trace: &Trace) -> DetectionResult {
 
     // Epoch-major processing order (stable: time order within an epoch,
     // program order per processor). For well-formed traces every
-    // epoch-e timestamp precedes every epoch-(e+1) timestamp and this
-    // sort is the identity; it exists to make barrier placement exact
-    // when timestamps tie across a barrier.
-    let mut order: Vec<usize> = (0..refs.len()).collect();
-    order.sort_by_key(|&i| refs[i].epoch);
+    // epoch-e timestamp precedes every epoch-(e+1) timestamp, so trace
+    // order already is epoch-major and no index is built; the reordering
+    // exists to make barrier placement exact when timestamps tie across
+    // a barrier.
+    let mut detector = Detector::new(refs, n_procs);
+    if refs.windows(2).all(|w| w[0].epoch <= w[1].epoch) {
+        (0..refs.len()).for_each(|i| detector.visit(i));
+    } else {
+        let mut order: Vec<usize> = (0..refs.len()).collect();
+        order.sort_by_key(|&i| refs[i].epoch);
+        order.into_iter().for_each(|i| detector.visit(i));
+    }
+    result.synchronized_pairs = detector.synchronized_pairs;
+    result.races = detector.races;
+    result
+}
 
-    let mut clock: Vec<u64> = vec![0; n_procs];
-    let mut vc: Vec<VectorClock> = vec![VectorClock::new(n_procs); n_procs];
-    let mut current_epoch = 0u32;
-    let mut shadow: BTreeMap<u32, Shadow> = BTreeMap::new();
-    let mut seen: BTreeSet<RaceKey> = BTreeSet::new();
+/// Replay state of one [`detect`] call; see [module docs](self).
+struct Detector<'a> {
+    refs: &'a [MemRef],
+    n_procs: usize,
+    clock: Vec<u64>,
+    vc: Vec<VectorClock>,
+    current_epoch: u32,
+    /// Address → interned id + 1 (0: not seen yet).
+    ids: PagedTable<u32>,
+    /// Last write and last read at `id * n_procs + proc`.
+    writes: Vec<Last>,
+    reads: Vec<Last>,
+    /// Dedup filter at `id * n_procs + proc`; empty beyond
+    /// [`FILTER_PROCS`] processors.
+    reported: Vec<Reported>,
+    seen: BTreeSet<RaceKey>,
+    synchronized_pairs: u64,
+    races: Vec<RacePair>,
+}
 
-    for &i in &order {
-        let r = refs[i];
-        if r.epoch > current_epoch {
+impl<'a> Detector<'a> {
+    fn new(refs: &'a [MemRef], n_procs: usize) -> Self {
+        Detector {
+            refs,
+            n_procs,
+            clock: vec![0; n_procs],
+            vc: vec![VectorClock::new(n_procs); n_procs],
+            current_epoch: 0,
+            ids: PagedTable::new(),
+            writes: Vec::new(),
+            reads: Vec::new(),
+            reported: Vec::new(),
+            seen: BTreeSet::new(),
+            synchronized_pairs: 0,
+            races: Vec::new(),
+        }
+    }
+
+    /// Offset of `addr`'s row of per-processor slots, interning the
+    /// address on first sight.
+    #[inline]
+    fn row_of(&mut self, addr: u32) -> usize {
+        let id = self.ids.entry(addr);
+        if *id == 0 {
+            let grown = self.writes.len() + self.n_procs;
+            *id = (grown / self.n_procs) as u32;
+            self.writes.resize(grown, Last::default());
+            self.reads.resize(grown, Last::default());
+            if self.n_procs <= FILTER_PROCS {
+                self.reported.resize(grown, Reported::default());
+            }
+        }
+        (*id as usize - 1) * self.n_procs
+    }
+
+    /// Processes trace reference `i`.
+    #[inline]
+    fn visit(&mut self, i: usize) {
+        let r = &self.refs[i];
+        if r.epoch > self.current_epoch {
             // Barrier: everything before the epoch change happens-before
             // everything after. Join all clocks into a release clock and
             // re-acquire it everywhere.
-            let mut release = VectorClock::new(n_procs);
-            for c in &vc {
+            let mut release = VectorClock::new(self.n_procs);
+            for c in &self.vc {
                 release.join(c);
             }
-            for c in &mut vc {
+            for c in &mut self.vc {
                 c.join(&release);
             }
-            current_epoch = r.epoch;
+            self.current_epoch = r.epoch;
         }
 
         let p = r.proc as usize;
-        clock[p] += 1;
-        vc[p].set(p, clock[p]);
-
-        let cell = shadow
-            .entry(r.addr)
-            .or_insert_with(|| Shadow { writes: vec![None; n_procs], reads: vec![None; n_procs] });
+        let is_write = r.kind == RefKind::Write;
+        self.clock[p] += 1;
+        self.vc[p].set(p, self.clock[p]);
+        let row = self.row_of(r.addr);
 
         // Conflict checks against every other processor's last accesses.
-        for q in 0..n_procs {
+        for q in 0..self.n_procs {
             if q == p {
                 continue; // program order; never a race, not counted
             }
-            if let Some(w) = cell.writes[q] {
-                if vc[p].has_observed(q, w.clock) {
-                    result.synchronized_pairs += 1;
+            let w = self.writes[row + q];
+            if w.clock != 0 {
+                if self.vc[p].has_observed(q, w.clock) {
+                    self.synchronized_pairs += 1;
                 } else {
-                    let kind = if r.kind == RefKind::Write {
-                        RaceKind::WriteWrite
-                    } else {
-                        RaceKind::ReadWrite
-                    };
-                    push_race(&mut result.races, &mut seen, w, r, i, kind);
+                    let kind = if is_write { RaceKind::WriteWrite } else { RaceKind::ReadWrite };
+                    self.race(row, q, w.idx, i, kind);
                 }
             }
-            if r.kind == RefKind::Write {
-                if let Some(rd) = cell.reads[q] {
-                    if vc[p].has_observed(q, rd.clock) {
-                        result.synchronized_pairs += 1;
+            if is_write {
+                let rd = self.reads[row + q];
+                if rd.clock != 0 {
+                    if self.vc[p].has_observed(q, rd.clock) {
+                        self.synchronized_pairs += 1;
                     } else {
-                        push_race(&mut result.races, &mut seen, rd, r, i, RaceKind::ReadWrite);
+                        self.race(row, q, rd.idx, i, RaceKind::ReadWrite);
                     }
                 }
             }
         }
 
-        let access = Access { clock: clock[p], r, idx: i };
-        match r.kind {
-            RefKind::Write => cell.writes[p] = Some(access),
-            RefKind::Read => cell.reads[p] = Some(access),
+        let last = Last { clock: self.clock[p], idx: i };
+        if is_write {
+            self.writes[row + p] = last;
+        } else {
+            self.reads[row + p] = last;
         }
     }
-    result
-}
 
-fn push_race(
-    races: &mut Vec<RacePair>,
-    seen: &mut BTreeSet<RaceKey>,
-    prior: Access,
-    r: MemRef,
-    idx: usize,
-    kind: RaceKind,
-) {
-    let pair = RacePair {
-        addr: r.addr,
-        epoch: r.epoch,
-        first: prior.r,
-        first_idx: prior.idx,
-        second: r,
-        second_idx: idx,
-        kind,
-    };
-    if seen.insert(pair.key()) {
-        races.push(pair);
+    /// Reports reference `idx` racing processor `q`'s earlier access
+    /// `prior` to the same address (slot row `row`), unless the pair's
+    /// [`RaceKey`] was reported before.
+    #[inline]
+    fn race(&mut self, row: usize, q: usize, prior: usize, idx: usize, kind: RaceKind) {
+        let r = self.refs[idx];
+        if !self.reported.is_empty() {
+            let p = r.proc as usize;
+            let mark = |slot: &mut Reported, partner: usize| {
+                if slot.epoch != r.epoch {
+                    *slot = Reported { epoch: r.epoch, ww: 0, rw: 0 };
+                }
+                let mask = match kind {
+                    RaceKind::WriteWrite => &mut slot.ww,
+                    RaceKind::ReadWrite => &mut slot.rw,
+                };
+                let bit = 1u32 << partner;
+                let fresh = *mask & bit == 0;
+                *mask |= bit;
+                fresh
+            };
+            if !mark(&mut self.reported[row + p], q) {
+                return;
+            }
+            mark(&mut self.reported[row + q], p);
+        }
+        let pair = RacePair {
+            addr: r.addr,
+            epoch: r.epoch,
+            first: self.refs[prior],
+            first_idx: prior,
+            second: r,
+            second_idx: idx,
+            kind,
+        };
+        if self.seen.insert(pair.key()) {
+            self.races.push(pair);
+        }
     }
 }
 

@@ -1,8 +1,9 @@
 //! Property-based tests for the race detector.
 //!
-//! The load-bearing property: producer traces merge per-processor
-//! streams with `Trace::sort_by_time`, so references sharing a
-//! timestamp have no canonical cross-processor order. Race verdicts
+//! The load-bearing property: producers merge per-processor streams in
+//! time order (a stable time sort, whether by `TraceMerger` or
+//! `Trace::sort_by_time`), so references sharing a timestamp have no
+//! canonical cross-processor order. Race verdicts
 //! must therefore be invariant under any *stable* reordering of
 //! same-time references (one that preserves each processor's program
 //! order) — otherwise the analysis would report different races for

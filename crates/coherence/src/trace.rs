@@ -10,6 +10,12 @@
 //! happened, and (for writes) the signed *delta* the store applied to the
 //! cost cell. Producers that predate the analyser can leave the extras at
 //! their defaults via [`MemRef::new`].
+//!
+//! Producers hand out traces already in time order. Each processor's
+//! references are produced in program order, so a producer feeds them to
+//! a [`TraceMerger`], which releases them in `(time, push order)` order as
+//! the producer's clock advances: the result is exactly the stable time
+//! sort of everything pushed, and no whole trace is ever sorted.
 
 /// Whether a reference reads or writes shared data.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Hash)]
@@ -132,16 +138,19 @@ impl Trace {
         Trace { refs: Vec::with_capacity(n) }
     }
 
-    /// Appends a reference. References may be pushed out of order (the
-    /// emulator interleaves processors); call [`Self::sort_by_time`]
-    /// before analysis.
+    /// Appends a reference. The trace stays time-ordered only if `r` is
+    /// no earlier than the last reference; producers that interleave
+    /// processors go through a [`TraceMerger`] instead, which hands out a
+    /// trace already in time order.
     #[inline]
     pub fn push(&mut self, r: MemRef) {
         self.refs.push(r);
     }
 
     /// Stable-sorts the trace by time (ties keep insertion order, which
-    /// preserves each processor's program order).
+    /// preserves each processor's program order). Producers never need
+    /// it — they merge through a [`TraceMerger`] — but hand-built traces
+    /// may.
     pub fn sort_by_time(&mut self) {
         self.refs.sort_by_key(|r| r.time);
     }
@@ -169,6 +178,184 @@ impl Trace {
     /// Count of write references.
     pub fn write_count(&self) -> usize {
         self.refs.iter().filter(|r| r.kind == RefKind::Write).count()
+    }
+}
+
+/// One processor's pushed references and their push sequence numbers;
+/// those from `head` on are pending.
+#[derive(Default)]
+struct Run {
+    refs: Vec<MemRef>,
+    seqs: Vec<u64>,
+    head: usize,
+    /// Time of the run's latest push (runs must not go back in time).
+    last: u64,
+}
+
+/// The releasable stretch `at..end` of one run during an `advance`.
+#[derive(Clone, Copy)]
+struct Cursor {
+    run: usize,
+    at: usize,
+    end: usize,
+}
+
+/// Merge key of a pending reference: `(time, push sequence)` packed into
+/// one integer; an exhausted cursor holds `u128::MAX`, above every key.
+#[inline]
+fn merge_key(time: u64, seq: u64) -> u128 {
+    (time as u128) << 64 | seq as u128
+}
+
+/// Builds a time-ordered [`Trace`] from per-processor reference streams
+/// as they are produced, with no post-hoc sort.
+///
+/// The producer pushes each processor's references in program order and
+/// periodically calls [`advance`](Self::advance) with a key no later push
+/// will undercut. The merger keeps one pending run per processor (indexed
+/// by [`MemRef::proc`]); `advance` takes from every run the prefix with
+/// `time <= key` and merges those prefixes into the output in `(time,
+/// push sequence)` order through a loser tree. The contract is:
+///
+/// * each processor's pushes have nondecreasing `time`;
+/// * after `advance(key)`, every push has `time >= key`.
+///
+/// Under it, everything released is ≤ everything still to come in
+/// `(time, seq)` order, so the finished trace equals a stable sort by time
+/// of the whole push sequence. A push that breaks the contract panics
+/// rather than yielding a misordered trace.
+pub struct TraceMerger {
+    runs: Vec<Run>,
+    /// Sequence number of the next push.
+    seq: u64,
+    /// Largest key passed to `advance`: no push may be earlier.
+    horizon: u64,
+    out: Trace,
+}
+
+impl TraceMerger {
+    /// A merger over processors `0..n_procs`, whose output trace is
+    /// pre-sized for `capacity` references.
+    pub fn new(n_procs: usize, capacity: usize) -> Self {
+        TraceMerger {
+            runs: (0..n_procs).map(|_| Run::default()).collect(),
+            seq: 0,
+            horizon: 0,
+            out: Trace::with_capacity(capacity),
+        }
+    }
+
+    /// Queues `r` on its processor's run.
+    ///
+    /// # Panics
+    /// Panics if `r.proc` is out of range, or if `r` breaks the ordering
+    /// contract (see [type docs](Self)).
+    #[inline]
+    pub fn push(&mut self, r: MemRef) {
+        let p = r.proc as usize;
+        assert!(p < self.runs.len(), "proc {p} out of range for {} runs", self.runs.len());
+        assert!(
+            r.time >= self.horizon,
+            "push at time {} after advance({}) would be released out of order",
+            r.time,
+            self.horizon
+        );
+        let run = &mut self.runs[p];
+        assert!(r.time >= run.last, "proc {p} went back in time: {} after {}", r.time, run.last);
+        run.last = r.time;
+        if run.head > 0 && run.refs.len() == run.refs.capacity() {
+            // Reclaim released entries before growing (amortized O(1)).
+            run.refs.drain(..run.head);
+            run.seqs.drain(..run.head);
+            run.head = 0;
+        }
+        run.refs.push(r);
+        run.seqs.push(self.seq);
+        self.seq += 1;
+    }
+
+    /// Releases every pending reference with `time <= key`, in order.
+    /// From now on no push may be earlier than `key`.
+    pub fn advance(&mut self, key: u64) {
+        self.horizon = self.horizon.max(key);
+        let mut cursors: Vec<Cursor> = Vec::new();
+        for (p, run) in self.runs.iter().enumerate() {
+            let n = run.refs[run.head..].partition_point(|r| r.time <= key);
+            if n > 0 {
+                cursors.push(Cursor { run: p, at: run.head, end: run.head + n });
+            }
+        }
+        match cursors.len() {
+            0 => return,
+            1 => {
+                let c = cursors[0];
+                self.out.refs.extend_from_slice(&self.runs[c.run].refs[c.at..c.end]);
+            }
+            _ => merge(&self.runs, &mut cursors, &mut self.out.refs),
+        }
+        // Merging moved each cursor's `at` to its `end`.
+        for c in &cursors {
+            let run = &mut self.runs[c.run];
+            run.head = c.end;
+            if run.head == run.refs.len() {
+                run.refs.clear();
+                run.seqs.clear();
+                run.head = 0;
+            }
+        }
+    }
+
+    /// Releases everything still pending and returns the trace.
+    pub fn finish(mut self) -> Trace {
+        self.advance(u64::MAX);
+        self.out
+    }
+}
+
+/// Merges the cursors' stretches of `runs` onto `out` through a loser
+/// tree: `k` leaves at `k..2k`, match `n` between nodes `2n` and
+/// `2n + 1`, each node holding a `(key, cursor)` pair.
+fn merge(runs: &[Run], cursors: &mut [Cursor], out: &mut Vec<MemRef>) {
+    let k = cursors.len();
+    let key_at = |c: &Cursor| {
+        if c.at < c.end {
+            merge_key(runs[c.run].refs[c.at].time, runs[c.run].seqs[c.at])
+        } else {
+            u128::MAX
+        }
+    };
+    // Play the tournament bottom-up: `winner[n]` wins the match at `n`,
+    // `tree[n]` keeps its loser.
+    let mut winner: Vec<(u128, usize)> = (0..2 * k)
+        .map(|i| {
+            let c = i.saturating_sub(k);
+            (key_at(&cursors[c]), c)
+        })
+        .collect();
+    let mut tree = vec![(u128::MAX, 0); k];
+    for n in (1..k).rev() {
+        let (a, b) = (winner[2 * n], winner[2 * n + 1]);
+        let (w, l) = if a.0 < b.0 { (a, b) } else { (b, a) };
+        winner[n] = w;
+        tree[n] = l;
+    }
+    let total: usize = cursors.iter().map(|c| c.end - c.at).sum();
+    let mut w = winner[1].1;
+    for _ in 0..total {
+        let c = &mut cursors[w];
+        out.push(runs[c.run].refs[c.at]);
+        c.at += 1;
+        // Replay the winner's path: at each match the smaller of the new
+        // head and the stored loser moves on.
+        let mut up = (key_at(c), w);
+        let mut n = (k + w) / 2;
+        while n > 0 {
+            if tree[n].0 < up.0 {
+                std::mem::swap(&mut tree[n], &mut up);
+            }
+            n /= 2;
+        }
+        w = up.1;
     }
 }
 
@@ -262,6 +449,57 @@ mod tests {
         let reads = t.refs().iter().filter(|r| r.kind == RefKind::Read).count();
         assert_eq!(t.write_count(), writes);
         assert_eq!(writes + reads, t.len());
+    }
+
+    #[test]
+    fn merger_breaks_same_time_ties_by_push_order() {
+        let mut m = TraceMerger::new(3, 0);
+        m.push(r(5, 2, 0, RefKind::Read));
+        m.push(r(5, 0, 4, RefKind::Read));
+        m.push(r(3, 1, 8, RefKind::Write));
+        m.advance(4);
+        m.push(r(5, 1, 12, RefKind::Read));
+        m.push(r(6, 0, 16, RefKind::Read));
+        let t = m.finish();
+        let addrs: Vec<u32> = t.refs().iter().map(|r| r.addr).collect();
+        assert_eq!(addrs, vec![8, 0, 4, 12, 16]);
+    }
+
+    #[test]
+    fn merger_releases_only_up_to_the_key() {
+        let mut m = TraceMerger::new(2, 0);
+        m.push(r(1, 0, 0, RefKind::Read));
+        m.push(r(9, 0, 4, RefKind::Read));
+        m.push(r(2, 1, 8, RefKind::Read));
+        m.advance(2);
+        assert_eq!(m.out.len(), 2);
+        m.advance(8);
+        assert_eq!(m.out.len(), 2);
+        assert_eq!(m.finish().len(), 3);
+    }
+
+    #[test]
+    #[should_panic(expected = "released out of order")]
+    fn merger_rejects_a_push_before_the_last_key() {
+        let mut m = TraceMerger::new(2, 0);
+        m.push(r(10, 0, 0, RefKind::Read));
+        m.advance(10);
+        m.push(r(9, 1, 4, RefKind::Read));
+    }
+
+    #[test]
+    #[should_panic(expected = "went back in time")]
+    fn merger_rejects_a_processor_going_back_in_time() {
+        let mut m = TraceMerger::new(2, 0);
+        m.push(r(10, 0, 0, RefKind::Read));
+        m.push(r(9, 0, 4, RefKind::Read));
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn merger_rejects_an_unknown_processor() {
+        let mut m = TraceMerger::new(2, 0);
+        m.push(r(0, 2, 0, RefKind::Read));
     }
 
     #[test]

@@ -24,6 +24,14 @@
 //! candidates lose). Criticality-aware memory backends use the tags to
 //! service critical requests first.
 //!
+//! Trace capture is in time order from the start: each processor records
+//! its references in program order into a [`TraceMerger`]. The event loop
+//! always serves the earliest event key, keys never decrease, and every
+//! reference an event records is stamped at or after its key, so before
+//! each event the merger releases everything pending up to that key. The
+//! finished trace is the stable time sort of the recorded references
+//! (same-time references keep recording order), and nothing is sorted.
+//!
 //! Route slots, work accounting, per-iteration occupancy, and event
 //! emission live in the shared [`IterationDriver`]; this module owns only
 //! what is emulator-specific — logical clocks, the evaluate/commit split,
@@ -32,7 +40,7 @@
 use std::cell::{Cell, RefCell};
 
 use locus_circuit::{Circuit, GridCell, WireId};
-use locus_coherence::{Criticality, MemRef, RefKind, Trace};
+use locus_coherence::{Criticality, MemRef, RefKind, Trace, TraceMerger};
 use locus_obs::{NullSink, Sink};
 use locus_router::engine::{IterationDriver, ObsEmitter, Stamp, WireFeed};
 use locus_router::router::{route_wire_scratch, PooledScratch, WireEvaluation};
@@ -66,7 +74,7 @@ pub struct ShmemOutcome {
 /// sweeps cells, advancing the processor's logical clock per read.
 struct TracedView<'a> {
     cost: &'a CostArray,
-    trace: Option<&'a RefCell<Trace>>,
+    trace: Option<&'a RefCell<TraceMerger>>,
     clock: Cell<u64>,
     step_ns: u64,
     proc: u32,
@@ -151,7 +159,7 @@ impl<'a> ShmemEmulator<'a> {
 
         let trace_cell = cfg
             .collect_trace
-            .then(|| RefCell::new(Trace::with_capacity(n_wires * 64 * cfg.params.iterations)));
+            .then(|| RefCell::new(TraceMerger::new(n_procs, n_wires * 64 * cfg.params.iterations)));
 
         let mut shared = CostArray::new(circuit.channels, circuit.grids);
         let mut driver = IterationDriver::new(n_wires).with_obs(ObsEmitter::new(sink));
@@ -190,9 +198,15 @@ impl<'a> ShmemEmulator<'a> {
                         best = Some((key, p));
                     }
                 }
-                let Some((_, p)) = best else {
+                let Some((key, p)) = best else {
                     break; // everyone is at the barrier
                 };
+                // Event keys never decrease and every reference this
+                // event (or any later one) records is stamped at or after
+                // its key, so everything up to the key is final.
+                if let Some(trace) = &trace_cell {
+                    trace.borrow_mut().advance(key);
+                }
 
                 if let Some(pend) = procs[p].pending.take() {
                     // Commit: apply the increments the other processors
@@ -310,11 +324,7 @@ impl<'a> ShmemEmulator<'a> {
         driver.on_node(0);
         driver.kernel_stats(Stamp::At(completion), out.cost.prefix_stats());
 
-        let trace = trace_cell.map(|t| {
-            let mut trace = t.into_inner();
-            trace.sort_by_time();
-            trace
-        });
+        let trace = trace_cell.map(|t| t.into_inner().finish());
 
         ShmemOutcome {
             quality: out.quality,

@@ -27,7 +27,7 @@ use std::sync::Barrier;
 use std::time::{Duration, Instant};
 
 use locus_circuit::{Circuit, GridCell};
-use locus_coherence::{MemRef, RefKind, Trace};
+use locus_coherence::{MemRef, RefKind, Trace, TraceMerger};
 use locus_obs::SharedSink;
 use locus_router::engine::{IterationDriver, ObsEmitter, Stamp, WireFeed};
 use locus_router::router::{route_wire_scratch, PooledScratch};
@@ -113,7 +113,7 @@ pub struct ThreadedOutcome {
     /// Final cost-array state (rebuilt from the final routes).
     pub cost: CostArray,
     /// The shared-reference trace, when collection was enabled
-    /// (wall-clock stamps; merged across threads and time-sorted).
+    /// (wall-clock stamps; merged across threads in time order).
     pub trace: Option<Trace>,
 }
 
@@ -312,15 +312,18 @@ impl<'a> ThreadedRouter<'a> {
             &truth,
             occupancy_by_iteration.last().copied().unwrap_or(0),
         );
+        // Each thread's stamps are monotone, so its trace is one in-order
+        // run; merging the runs in `thread_traces` order breaks same-time
+        // ties by that order, as a stable sort of their concatenation would.
         let trace = collect_trace.then(|| {
-            let mut merged = Trace::new();
-            for t in thread_traces.into_inner() {
+            let runs = thread_traces.into_inner();
+            let mut merger = TraceMerger::new(n_threads, runs.iter().map(Trace::len).sum());
+            for t in runs {
                 for &r in t.refs() {
-                    merged.push(r);
+                    merger.push(r);
                 }
             }
-            merged.sort_by_time();
-            merged
+            merger.finish()
         });
         ThreadedOutcome { quality, wall, routes, work, occupancy_by_iteration, cost: truth, trace }
     }
