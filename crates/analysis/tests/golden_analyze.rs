@@ -1,9 +1,11 @@
 //! Golden `analyze` reports: the FNV-1a digest of `race_report_json` for
 //! the configurations of CI's race smoke (`analyze --quick` on the
-//! emulator at P = 4 and on the sequential engine), so detection,
-//! classification and report rendering stay byte-identical together.
-//! Regenerate `golden/analyze_digests.txt` from `render()` only for a
-//! deliberate output change.
+//! emulator at P = 4 and on the sequential engine) and for the emulator
+//! at P = 16, so detection, classification and report rendering stay
+//! byte-identical together. Regenerate `golden/analyze_digests.txt` from
+//! `render()` only for a deliberate output change. The full-scale
+//! `analyze --engine emul --report` is pinned by the sha256 in
+//! `golden/analyze_full_emul.sha256`, checked in CI.
 
 use locus_analysis::{analyze_engine, race_report_json};
 use locus_circuit::presets;
@@ -18,12 +20,12 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 fn render() -> String {
     let circuit = presets::small();
     let mut out = String::new();
-    for engine in ["emul", "seq"] {
-        let report = analyze_engine(&circuit, engine, 4, RouterParams::default())
+    for (engine, procs) in [("emul", 4), ("seq", 4), ("emul", 16)] {
+        let report = analyze_engine(&circuit, engine, procs, RouterParams::default())
             .expect("engine has a trace");
         let json = race_report_json(&report);
         out.push_str(&format!(
-            "{engine} P=4 races={} {:016x}\n",
+            "{engine} P={procs} races={} {:016x}\n",
             report.races.len(),
             fnv1a(json.as_bytes())
         ));

@@ -27,6 +27,13 @@ pub struct Circuit {
 }
 
 impl Circuit {
+    /// Largest accepted surface, in cells: about 900 times bnrE's
+    /// 10 × 341, yet small enough that a cost array and its prefix caches
+    /// (~18 bytes per cell) fit in memory. A text circuit may declare up
+    /// to 65 535 × 65 535 cells, which would otherwise abort on
+    /// allocation long after parsing succeeded.
+    pub const MAX_SURFACE_CELLS: usize = 1 << 22;
+
     /// Creates a circuit after validating all invariants.
     pub fn new(
         name: impl Into<String>,
@@ -43,6 +50,12 @@ impl Circuit {
     pub fn validate(&self) -> Result<(), CircuitError> {
         if self.channels == 0 || self.grids == 0 {
             return Err(CircuitError::EmptySurface);
+        }
+        if self.channels as usize * self.grids as usize > Self::MAX_SURFACE_CELLS {
+            return Err(CircuitError::SurfaceTooLarge {
+                channels: self.channels,
+                grids: self.grids,
+            });
         }
         for (index, wire) in self.wires.iter().enumerate() {
             if wire.id != index {
@@ -137,5 +150,14 @@ mod tests {
     fn rejects_empty_surface() {
         let err = Circuit::new("t", 0, 16, vec![]).unwrap_err();
         assert_eq!(err, CircuitError::EmptySurface);
+    }
+
+    #[test]
+    fn rejects_oversized_surface() {
+        let err = Circuit::new("t", 65535, 65535, vec![]).unwrap_err();
+        assert_eq!(err, CircuitError::SurfaceTooLarge { channels: 65535, grids: 65535 });
+        let (channels, grids) = (128u16, (Circuit::MAX_SURFACE_CELLS / 128) as u16);
+        assert!(Circuit::new("t", channels, grids, vec![]).is_ok(), "the bound itself is accepted");
+        assert!(Circuit::new("t", channels, grids + 1, vec![]).is_err());
     }
 }

@@ -37,6 +37,14 @@ pub enum CircuitError {
     },
     /// The circuit has zero channels or zero grid columns.
     EmptySurface,
+    /// The surface holds more than [`crate::Circuit::MAX_SURFACE_CELLS`]
+    /// cells, more than any router here is sized to allocate.
+    SurfaceTooLarge {
+        /// Number of channels in the circuit.
+        channels: u16,
+        /// Number of grid columns in the circuit.
+        grids: u16,
+    },
     /// Text-format parse error with line number and message.
     Parse {
         /// 1-based line number.
@@ -65,6 +73,11 @@ impl fmt::Display for CircuitError {
                 "wire list position {index} holds wire id {found}; ids must be dense 0..n"
             ),
             CircuitError::EmptySurface => write!(f, "circuit must have ≥1 channel and ≥1 grid"),
+            CircuitError::SurfaceTooLarge { channels, grids } => write!(
+                f,
+                "surface of {channels} channels × {grids} grids exceeds {} cells",
+                crate::Circuit::MAX_SURFACE_CELLS
+            ),
             CircuitError::Parse { line, msg } => write!(f, "parse error at line {line}: {msg}"),
         }
     }

@@ -195,6 +195,17 @@ mod tests {
         assert!(matches!(err, CircuitError::Parse { line: 2, .. }), "{err}");
     }
 
+    /// A three-line text circuit may declare a 65 535 × 65 535 surface;
+    /// validation must refuse it before any router allocates a cost array
+    /// for it (8.6 GB of cells alone).
+    #[test]
+    fn rejects_oversized_surface() {
+        let text =
+            "# hostile surface\ncircuit huge channels 65535 grids 65535\nwire 0 : (0,0) (1,1)\n";
+        let err = from_text(text).unwrap_err();
+        assert_eq!(err, CircuitError::SurfaceTooLarge { channels: 65535, grids: 65535 });
+    }
+
     #[test]
     fn validates_parsed_pins_against_surface() {
         // Pin channel 9 on a 4-channel surface: caught by Circuit::validate.

@@ -6,7 +6,7 @@
 //! paper's "leftmost pin" assignment heuristic and keeps every connection
 //! within the wire's bounding box.
 
-use locus_circuit::{Pin, Wire};
+use locus_circuit::{Pin, Rect, Wire};
 
 /// An ordered two-pin connection to be routed.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -15,6 +15,26 @@ pub struct Connection {
     pub from: Pin,
     /// Destination pin.
     pub to: Pin,
+}
+
+impl Connection {
+    /// The rectangle holding every cell any two-bend candidate of this
+    /// connection covers, on a surface of `channels` channels: the pins'
+    /// columns, and their channels widened by `channel_overshoot` (clipped
+    /// to the surface) when the pins lie in different columns — the VHV
+    /// detour band of [`crate::twobend::best_route_into`]. An evaluation
+    /// of the connection reads no cell outside it, so a change to such a
+    /// cell cannot change the connection's winner.
+    pub fn candidate_box(&self, channel_overshoot: u16, channels: u16) -> Rect {
+        let (c_lo, c_hi) =
+            (self.from.channel.min(self.to.channel), self.from.channel.max(self.to.channel));
+        let (x_lo, x_hi) = (self.from.x.min(self.to.x), self.from.x.max(self.to.x));
+        if x_lo == x_hi {
+            return Rect::new(c_lo, c_hi, x_lo, x_hi);
+        }
+        let top = c_hi.saturating_add(channel_overshoot).min(channels - 1);
+        Rect::new(c_lo.saturating_sub(channel_overshoot), top, x_lo, x_hi)
+    }
 }
 
 /// Decomposes `wire` into the chain of connections LocusRoute routes.

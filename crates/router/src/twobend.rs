@@ -392,6 +392,8 @@ mod tests {
     use super::*;
     use crate::cost_array::CostArray;
     use locus_circuit::{GridCell, Pin};
+    use proptest::prelude::*;
+    use std::cell::RefCell;
 
     fn conn(c1: u16, x1: u16, c2: u16, x2: u16) -> Connection {
         Connection { from: Pin::new(c1, x1), to: Pin::new(c2, x2) }
@@ -539,30 +541,30 @@ mod tests {
         }
     }
 
+    /// A per-cell view that logs every cell read.
+    struct Recorder<'a> {
+        inner: &'a CostArray,
+        reads: RefCell<Vec<GridCell>>,
+    }
+
+    impl CostView for Recorder<'_> {
+        fn channels(&self) -> u16 {
+            CostView::channels(self.inner)
+        }
+        fn grids(&self) -> u16 {
+            CostView::grids(self.inner)
+        }
+        fn cost_at(&self, cell: GridCell) -> u32 {
+            self.reads.borrow_mut().push(cell);
+            self.inner.cost_at(cell)
+        }
+    }
+
     /// The span decomposition must read cells in exactly the order the
     /// reference evaluator does (sorted dedup order per candidate) — the
     /// shmem emulator's reference trace depends on it.
     #[test]
     fn read_sequence_identical_to_reference() {
-        use std::cell::RefCell;
-
-        struct Recorder<'a> {
-            inner: &'a CostArray,
-            reads: RefCell<Vec<GridCell>>,
-        }
-        impl CostView for Recorder<'_> {
-            fn channels(&self) -> u16 {
-                CostView::channels(self.inner)
-            }
-            fn grids(&self) -> u16 {
-                CostView::grids(self.inner)
-            }
-            fn cost_at(&self, cell: GridCell) -> u32 {
-                self.reads.borrow_mut().push(cell);
-                self.inner.cost_at(cell)
-            }
-        }
-
         let mut a = CostArray::new(6, 11);
         for c in 0..6u16 {
             for x in 0..11u16 {
@@ -587,6 +589,41 @@ mod tests {
             assert_eq!(optimized, reference, "{k:?} overshoot {overshoot}");
             assert_eq!(e.route, r.route);
             assert_eq!(e.cells_examined, r.cells_examined);
+        }
+    }
+
+    /// A surface of 1–8 channels by 1–24 grids and a connection on it:
+    /// free pins, pins in the same column, or one pin twice.
+    fn arb_surface_connection() -> impl Strategy<Value = (u16, u16, Connection)> {
+        (1u16..9, 1u16..25).prop_flat_map(|(channels, grids)| {
+            let pin = move || (0..channels, 0..grids).prop_map(|(c, x)| Pin::new(c, x));
+            let conn = prop_oneof![
+                (pin(), pin()).prop_map(|(from, to)| Connection { from, to }),
+                (pin(), 0..channels)
+                    .prop_map(|(from, c)| Connection { from, to: Pin::new(c, from.x) }),
+                pin().prop_map(|p| Connection { from: p, to: p }),
+            ];
+            (Just(channels), Just(grids), conn)
+        })
+    }
+
+    proptest! {
+        /// Every cell the reference evaluator reads lies inside the
+        /// connection's candidate box, so a change outside the box can
+        /// never change the connection's winner.
+        #[test]
+        fn reference_reads_stay_inside_the_candidate_box(
+            case in arb_surface_connection(),
+            overshoot in 0u16..4,
+        ) {
+            let (channels, grids, conn) = case;
+            let a = CostArray::new(channels, grids);
+            let rec = Recorder { inner: &a, reads: RefCell::new(Vec::new()) };
+            best_route_reference(&rec, conn, overshoot);
+            let bounds = conn.candidate_box(overshoot, channels);
+            for cell in rec.reads.take() {
+                prop_assert!(bounds.contains(cell), "{conn:?} overshoot {overshoot} read {cell}");
+            }
         }
     }
 
